@@ -1,0 +1,6 @@
+"""The repository benchmark: four named workloads, end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; ``perfbench/README.md`` describes the workloads and
+every metric.
+"""
